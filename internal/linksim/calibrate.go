@@ -112,6 +112,7 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 		RangesM:       append([]float64(nil), cfg.RangesM...),
 		OrientsRad:    append([]float64(nil), cfg.OrientsRad...),
 		Intensities:   append([]float64(nil), cfg.Intensities...),
+		SourceLevelDB: core.DefaultSourceLevelDB,
 		Cells:         make([]Cell, len(cfg.Envs)*len(cfg.Intensities)*len(cfg.OrientsRad)*len(cfg.RangesM)),
 	}
 
@@ -145,8 +146,6 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 		}
 		meas[j.idx] = m
 		t.Cells[j.idx] = m.cell
-		t.ChipRate = m.chipRate // identical across cells: the default PHY numerology
-		t.SourceLevelDB = core.DefaultSourceLevelDB
 		return nil
 	}
 	workers := cfg.Workers
@@ -182,6 +181,8 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 			}
 		}
 	}
+
+	t.ChipRate = meas[0].chipRate // identical across cells: the default PHY numerology
 
 	// Cells too sparse to estimate an SNR distribution (fewer than three
 	// delivered frames) fall back to the analytic budget for the SNR

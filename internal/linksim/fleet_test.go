@@ -31,24 +31,26 @@ func transcript(reps []CycleReport) string {
 	return b.String()
 }
 
-// runCampaign runs a seeded campaign at the given worker count and returns
-// the full transcript.
-func runCampaign(t *testing.T, workers, cycles int) string {
+// runCampaign runs a seeded campaign under chaos faults, probation and
+// rate adaptation at the given worker count and returns the transcript of
+// every cycle report followed by 500 sampled node states.
+func runCampaign(t *testing.T, nodes int, seed int64, workers, cycles int) string {
 	t.Helper()
 	fleet, err := NewFleet(Config{
-		Nodes:  20_000,
+		Nodes:  nodes,
 		Policy: probationPolicy(),
-		Seed:   17,
+		Seed:   seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fleet.Close()
 	rc, err := mac.NewRateController([]float64{125, 250, 500}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fleet.EnableRateAdaptation(rc)
-	sc, err := faults.Parse("chaos", 17+9001)
+	sc, err := faults.Parse("chaos", seed+9001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,12 @@ func runCampaign(t *testing.T, workers, cycles int) string {
 		}
 		reps = append(reps, rep)
 	}
-	return transcript(reps)
+	var b strings.Builder
+	b.WriteString(transcript(reps))
+	for i := 0; i < nodes; i += nodes / 500 {
+		fmt.Fprintf(&b, "n%d %+v\n", i, fleet.NodeState(i))
+	}
+	return b.String()
 }
 
 // TestFleetDeterminismAcrossWorkers: the full campaign transcript — every
@@ -75,12 +82,12 @@ func runCampaign(t *testing.T, workers, cycles int) string {
 // faults, probation and rate adaptation. This is the abstract tier's core
 // reproducibility contract, the one the CI cmp leg checks end-to-end.
 func TestFleetDeterminismAcrossWorkers(t *testing.T) {
-	serial := runCampaign(t, 1, 8)
-	parallel := runCampaign(t, 8, 8)
+	serial := runCampaign(t, 20_000, 17, 1, 8)
+	parallel := runCampaign(t, 20_000, 17, 8, 8)
 	if serial != parallel {
 		t.Fatalf("workers=1 and workers=8 transcripts differ:\n--- w1\n%s--- w8\n%s", serial, parallel)
 	}
-	again := runCampaign(t, 8, 8)
+	again := runCampaign(t, 20_000, 17, 8, 8)
 	if parallel != again {
 		t.Fatal("same-seed rerun differs")
 	}

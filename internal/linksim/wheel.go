@@ -1,11 +1,10 @@
 package linksim
 
+import "slices"
+
 // probeWheel is the fleet's probe calendar: cycle → quarantined nodes
-// whose re-probe is due then. The previous implementation was a
-// map[int][]int32 with a per-cycle sort.Slice — two allocations and a
-// closure-driven sort on every cycle that touched probation. The wheel
-// replaces it with a power-of-two ring of reusable buckets plus an
-// overflow list, under three invariants:
+// whose re-probe is due then. It is a power-of-two ring of reusable
+// buckets plus an overflow list, under three invariants:
 //
 //  1. Exact buckets. The wheel spans `horizon` cycles (sized past the
 //     policy's ProbeHorizon), so every in-wheel entry due at cycle d
@@ -14,23 +13,23 @@ package linksim
 //     never alias one bucket. Entries farther out than the horizon go to
 //     the overflow list, which take() drains as their cycles come up —
 //     far-future probes cost a scan only while any exist.
-//  2. Ascending buckets, no sort. schedule() insertion-sorts each node
-//     into its bucket from the tail. Within one fold phase nodes are
-//     scheduled in ascending order (the fold walks the work list
-//     ascending), so the common insert is a pure append; only an entry
-//     from a *later* cycle's fold landing below an earlier fold's run
-//     shifts, and buckets are small (the nodes of one future cycle's
-//     probe schedule).
-//  3. Reused storage. take() hands the bucket back truncated to length
-//     zero, so steady-state scheduling never allocates; the slice a
-//     take() returns is valid until the next take().
+//  2. Append on schedule, sort on take. One fold schedules in ascending
+//     node order, so take() sorts a bucket only when two folds wrote
+//     into it. Under chaos that is common and large: failed re-probes of
+//     cycle c and fresh quarantines of cycle c+2, ~10⁵ nodes each, are
+//     both due at c+4. One sort on take is O(n log n); keeping buckets
+//     sorted on insert was O(n²).
+//  3. Reused storage. take() sorts in place and hands the bucket back
+//     truncated to length zero, so steady-state scheduling never
+//     allocates; the slice a take() returns is valid until the next
+//     take().
 //
-// Stale entries are the caller's concern, as with the map: an entry
-// whose node was restored or re-scheduled since insertion is skipped by
-// the ProbeDueAt guard when its bucket comes up.
+// Stale entries are the caller's concern: an entry whose node was
+// restored or re-scheduled since insertion is skipped by the ProbeDueAt
+// guard when its bucket comes up.
 type probeWheel struct {
 	mask     int       // len(buckets)-1; len is a power of two
-	buckets  [][]int32 // ring of per-cycle due lists, each ascending
+	buckets  [][]int32 // ring of per-cycle due lists, sorted on take
 	overflow []overflowProbe
 	drained  []int32 // take() scratch: overflow entries coming due
 	merged   []int32 // take() scratch: bucket ∪ drained
@@ -65,12 +64,7 @@ func (w *probeWheel) schedule(node int32, due, now int) {
 		w.overflow = append(w.overflow, overflowProbe{due: due, node: node})
 		return
 	}
-	b := w.buckets[due&w.mask]
-	b = append(b, node)
-	for j := len(b) - 1; j > 0 && b[j-1] > node; j-- {
-		b[j-1], b[j] = b[j], b[j-1]
-	}
-	w.buckets[due&w.mask] = b
+	w.buckets[due&w.mask] = append(w.buckets[due&w.mask], node)
 }
 
 // take returns the ascending node list due at `cycle` and recycles the
@@ -80,6 +74,9 @@ func (w *probeWheel) take(cycle int) []int32 {
 	idx := cycle & w.mask
 	b := w.buckets[idx]
 	w.buckets[idx] = b[:0]
+	if !slices.IsSorted(b) {
+		slices.Sort(b)
+	}
 	if len(w.overflow) == 0 {
 		return b
 	}
@@ -90,9 +87,6 @@ func (w *probeWheel) take(cycle int) []int32 {
 	for _, e := range w.overflow {
 		if e.due <= cycle {
 			w.drained = append(w.drained, e.node)
-			for j := len(w.drained) - 1; j > 0 && w.drained[j-1] > e.node; j-- {
-				w.drained[j-1], w.drained[j] = w.drained[j], w.drained[j-1]
-			}
 		} else {
 			kept = append(kept, e)
 		}
@@ -102,6 +96,9 @@ func (w *probeWheel) take(cycle int) []int32 {
 		return b
 	}
 	// Merge the (rare) overflow arrivals with the bucket, ascending.
+	if !slices.IsSorted(w.drained) {
+		slices.Sort(w.drained)
+	}
 	w.merged = mergeSortedInto(w.merged, b, w.drained)
 	return w.merged
 }

@@ -1,6 +1,8 @@
 package linksim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"vab/internal/mac"
@@ -96,6 +98,84 @@ func TestProbeWheelOverflow(t *testing.T) {
 	if got := w.pending(); got != 0 {
 		t.Fatalf("pending after overflow drain = %d, want 0", got)
 	}
+}
+
+// TestProbeWheelMatchesReference drives the wheel with random folds and
+// checks every take against a map[due][]int32 reference sorted on read.
+// Each cycle runs a few folds; a fold writes an ascending run of nodes,
+// each due a few cycles ahead, so runs written by different folds
+// interleave in one bucket. Some dues lie past the wheel span (overflow)
+// and some are at or before the current cycle (clamped to the next).
+func TestProbeWheelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	w := newProbeWheel(16)
+	span := w.mask
+	ref := map[int][]int32{}
+	pending := 0
+	check := func(cycle int) {
+		got := w.take(cycle)
+		want := ref[cycle]
+		slices.Sort(want)
+		delete(ref, cycle)
+		pending -= len(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: take %v, want %v", cycle, got, want)
+		}
+		if w.pending() != pending {
+			t.Fatalf("cycle %d: pending %d, want %d", cycle, w.pending(), pending)
+		}
+	}
+	const cycles = 300
+	for cycle := 0; cycle < cycles; cycle++ {
+		check(cycle)
+		for fold := rng.Intn(4); fold > 0; fold-- {
+			node := int32(rng.Intn(64))
+			for k := rng.Intn(40); k > 0; k-- {
+				node += int32(rng.Intn(8)) // repeats allowed: stale entries
+				var due int
+				switch r := rng.Intn(20); {
+				case r == 0:
+					due = cycle + span + 1 + rng.Intn(3*span)
+				case r == 1:
+					due = cycle - rng.Intn(3)
+				default:
+					due = cycle + []int{1, 2, 4, 8}[rng.Intn(4)]
+				}
+				w.schedule(node, due, cycle)
+				due = max(due, cycle+1)
+				ref[due] = append(ref[due], node)
+				pending++
+			}
+		}
+	}
+	for cycle := cycles; len(ref) > 0; cycle++ {
+		check(cycle)
+	}
+}
+
+// BenchmarkProbeWheelInterleavedRuns schedules two interleaved ascending
+// 10⁵-entry runs into one bucket from folds two cycles apart — the chaos
+// pattern where failed re-probes and fresh quarantines share a due cycle
+// — then takes the bucket. ns/entry stays flat in the run length while
+// the calendar is linear; an O(n²) insert shows up as a large number.
+func BenchmarkProbeWheelInterleavedRuns(b *testing.B) {
+	const run = 100_000
+	w := newProbeWheel(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := 8 * i
+		for n := int32(0); n < run; n++ {
+			w.schedule(2*n, base+4, base)
+		}
+		for n := int32(0); n < run; n++ {
+			w.schedule(2*n+1, base+4, base+2)
+		}
+		if got := w.take(base + 4); len(got) != 2*run {
+			b.Fatalf("take returned %d entries, want %d", len(got), 2*run)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*run*b.N), "ns/entry")
 }
 
 // TestFleetProbeBeyondWheelHorizon drives the overflow path end-to-end: a
