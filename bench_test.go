@@ -349,7 +349,7 @@ func BenchmarkLinkRebuild(b *testing.B) {
 	cfg := channel.Config{
 		Env: ocean.CharlesRiver(), CarrierHz: 18.5e3, SampleRate: 16e3,
 		ReaderDepth: 1.6, NodeDepth: 2.4, Range: 100,
-		SelfInterferenceDB: -30, ColoredNoise: true, Seed: 1,
+		SelfInterferenceDB: -30, Seed: 1,
 	}
 	l, err := channel.New(cfg)
 	if err != nil {
@@ -368,7 +368,7 @@ func BenchmarkLinkNew(b *testing.B) {
 	cfg := channel.Config{
 		Env: ocean.CharlesRiver(), CarrierHz: 18.5e3, SampleRate: 16e3,
 		ReaderDepth: 1.6, NodeDepth: 2.4, Range: 100,
-		SelfInterferenceDB: -30, ColoredNoise: true, Seed: 1,
+		SelfInterferenceDB: -30, Seed: 1,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -380,13 +380,13 @@ func BenchmarkLinkNew(b *testing.B) {
 }
 
 // BenchmarkUplinkNoise isolates the uplink half — fading, leakage and
-// Wenz-shaped noise on the workspace scratch — the per-round cost of the
+// white noise on the workspace scratch — the per-round cost of the
 // addNoise path.
 func BenchmarkUplinkNoise(b *testing.B) {
 	l, err := channel.New(channel.Config{
 		Env: ocean.CharlesRiver(), CarrierHz: 18.5e3, SampleRate: 16e3,
 		ReaderDepth: 1.6, NodeDepth: 2.4, Range: 100,
-		SelfInterferenceDB: -30, ColoredNoise: true, Seed: 1,
+		SelfInterferenceDB: -30, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -400,37 +400,6 @@ func BenchmarkUplinkNoise(b *testing.B) {
 	}
 	b.SetBytes(int64(n * 16))
 }
-
-// benchTDL measures one TDL engine at a given tap count over a 16 k-sample
-// block — the data behind the time/frequency crossover documented on
-// channel.Config.FrequencyDomainTDL.
-func benchTDL(b *testing.B, nTaps int, freq bool) {
-	rng := rand.New(rand.NewSource(3))
-	taps := make([]channel.Tap, nTaps)
-	for i := range taps {
-		taps[i] = channel.Tap{
-			DelaySamples: 500 + rng.Float64()*400,
-			Gain:         complex(rng.NormFloat64(), rng.NormFloat64()),
-		}
-	}
-	n := 16384
-	x := dsp.GaussianNoise(make([]complex128, n), 1, rng)
-	dst := make([]complex128, n)
-	tdl := channel.NewTDL(taps, freq)
-	tdl.Apply(dst, x) // warm scratch + FFT plans
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tdl.Apply(dst, x)
-	}
-	b.SetBytes(int64(n * 16))
-}
-
-func BenchmarkTDLTime4(b *testing.B)  { benchTDL(b, 4, false) }
-func BenchmarkTDLFreq4(b *testing.B)  { benchTDL(b, 4, true) }
-func BenchmarkTDLTime16(b *testing.B) { benchTDL(b, 16, false) }
-func BenchmarkTDLFreq16(b *testing.B) { benchTDL(b, 16, true) }
-func BenchmarkTDLTime64(b *testing.B) { benchTDL(b, 64, false) }
-func BenchmarkTDLFreq64(b *testing.B) { benchTDL(b, 64, true) }
 
 func BenchmarkReaderAcquire(b *testing.B) {
 	p := phy.DefaultParams()

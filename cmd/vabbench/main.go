@@ -253,7 +253,7 @@ func main() {
 	linkCfg := channel.Config{
 		Env: env, CarrierHz: 18.5e3, SampleRate: 16e3,
 		ReaderDepth: 1.6, NodeDepth: 2.4, Range: 100,
-		SelfInterferenceDB: -30, ColoredNoise: true, Seed: 1,
+		SelfInterferenceDB: -30, Seed: 1,
 	}
 	lnk, err := channel.New(linkCfg)
 	if err != nil {
@@ -324,27 +324,6 @@ func main() {
 	abstractParallel := mkAbstract(100_000, 0)
 	abstract1mSerial := mkAbstract(1_000_000, 1)
 	abstract1mParallel := mkAbstract(1_000_000, 0)
-
-	// TDL engine crossover: identical sparse kernels through both engines.
-	tdlRng := rand.New(rand.NewSource(2))
-	mkTaps := func(n int) []channel.Tap {
-		taps := make([]channel.Tap, n)
-		for i := range taps {
-			taps[i] = channel.Tap{
-				DelaySamples: 500 + tdlRng.Float64()*400,
-				Gain:         complex(tdlRng.NormFloat64(), tdlRng.NormFloat64()),
-			}
-		}
-		return taps
-	}
-	tdlX := dsp.GaussianNoise(make([]complex128, chN), 1, tdlRng)
-	tdlDst := make([]complex128, chN)
-	tdls := map[string]*channel.TDL{}
-	for _, n := range []int{4, 16, 64} {
-		taps := mkTaps(n)
-		tdls[fmt.Sprintf("time_%dtaps", n)] = channel.NewTDL(taps, false)
-		tdls[fmt.Sprintf("freq_%dtaps", n)] = channel.NewTDL(taps, true)
-	}
 
 	// Wire-codec workloads: the bit-packed sensor payload and the batched
 	// gateway format, steady state (reused buffers — both paths pin zero
@@ -562,12 +541,6 @@ func main() {
 				fatal(err)
 			}
 		}},
-		{"tdl_time_4taps_16k", func() { tdls["time_4taps"].Apply(tdlDst, tdlX) }},
-		{"tdl_freq_4taps_16k", func() { tdls["freq_4taps"].Apply(tdlDst, tdlX) }},
-		{"tdl_time_16taps_16k", func() { tdls["time_16taps"].Apply(tdlDst, tdlX) }},
-		{"tdl_freq_16taps_16k", func() { tdls["freq_16taps"].Apply(tdlDst, tdlX) }},
-		{"tdl_time_64taps_16k", func() { tdls["time_64taps"].Apply(tdlDst, tdlX) }},
-		{"tdl_freq_64taps_16k", func() { tdls["freq_64taps"].Apply(tdlDst, tdlX) }},
 	}
 
 	rep := report{

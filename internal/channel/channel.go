@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"vab/internal/dsp"
 	"vab/internal/ocean"
@@ -60,24 +59,8 @@ type Config struct {
 
 	// DisableNoise turns off ambient noise injection (unit tests).
 	DisableNoise bool
-	// ColoredNoise shapes the ambient noise to the Wenz spectrum across
-	// the baseband bandwidth instead of injecting it white (same total
-	// power). The Wenz PSD falls ~20 dB/decade through the VAB band, so
-	// the noise under the lower subcarrier is a little heavier than under
-	// the upper one — a second-order effect kept optional so the
-	// calibrated anchors stay put.
-	ColoredNoise bool
 	// DisableFading freezes the channel in time.
 	DisableFading bool
-
-	// FrequencyDomainTDL switches Downlink/Uplink to the overlap-save
-	// block-convolution engine (see TDL). It is opt-in because FFT
-	// rounding differs from the reference time-domain arithmetic at the
-	// ~1e-13 relative level, which would perturb the seeded experiment
-	// transcripts; the default time-domain path is bit-identical to the
-	// historical implementation. Worth enabling only for dense delay
-	// lines (tens of taps) — see the TDL benchmarks for the crossover.
-	FrequencyDomainTDL bool
 
 	Seed int64
 }
@@ -103,11 +86,8 @@ type Link struct {
 	// Reused storage for incremental rebuilds.
 	downArr []ocean.Arrival
 	upArr   []ocean.Arrival
-	tdlDown *TDL
-	tdlUp   *TDL
 
-	noiseAmp float64   // per-sample std dev of ambient noise envelope, µPa
-	shaper   *dsp.CFIR // nil for white noise
+	noiseAmp float64 // per-sample std dev of ambient noise envelope, µPa
 	leak     complex128
 	fading   *ocean.FadingProcess
 	src      rand.Source
@@ -143,20 +123,11 @@ func New(cfg Config) (*Link, error) {
 	}
 	src := rand.NewSource(cfg.Seed)
 	l := &Link{cfg: cfg, mp: mp, src: src, rng: rand.New(src)}
-	l.tdlDown = NewTDL(nil, cfg.FrequencyDomainTDL)
-	l.tdlUp = NewTDL(nil, cfg.FrequencyDomainTDL)
 	l.rebuildGeometry()
 
 	if !cfg.DisableNoise {
 		nl := cfg.Env.NoiseLevel(cfg.CarrierHz, cfg.SampleRate)
 		l.noiseAmp = math.Pow(10, nl/20)
-		if cfg.ColoredNoise {
-			taps, err := wenzShaperTaps(cfg.Env, cfg.CarrierHz, cfg.SampleRate)
-			if err != nil {
-				return nil, err
-			}
-			l.shaper = dsp.NewCFIR(taps)
-		}
 	}
 	if cfg.SelfInterferenceDB != 0 {
 		l.leak = complex(math.Pow(10, cfg.SelfInterferenceDB/20), 0)
@@ -182,9 +153,9 @@ func validateGeometry(env *ocean.Environment, g Geometry) error {
 }
 
 // Rebuild re-derives the link for a new geometry and noise seed in place,
-// reusing all storage: arrival and tap slices, TDL spectra, the noise
-// shaper, and the fading process (whose AR(1) coefficients are geometry-
-// independent) are recycled rather than reallocated. The resulting Link is
+// reusing all storage: arrival and tap slices and the fading process
+// (whose AR(1) coefficients are geometry-independent) are recycled rather
+// than reallocated. The resulting Link is
 // bit-identical — same taps, same RNG stream, same waveforms — to what
 // channel.New would return for the updated configuration, which
 // TestRebuildMatchesFreshLink pins across swayed rounds, but rebuilding
@@ -208,7 +179,7 @@ func (l *Link) Rebuild(g Geometry, seed int64) error {
 }
 
 // rebuildGeometry recomputes the geometry-dependent state — eigenray
-// enumeration, tap tables and TDL engines — into the Link's reused storage.
+// enumeration and tap tables — into the Link's reused storage.
 func (l *Link) rebuildGeometry() {
 	cfg := &l.cfg
 	l.downArr = cfg.Env.MultipathAppend(l.downArr, ocean.Geometry{
@@ -219,8 +190,6 @@ func (l *Link) rebuildGeometry() {
 	}, l.mp)
 	l.down = appendTaps(l.down[:0], l.downArr, cfg.SampleRate)
 	l.up = appendTaps(l.up[:0], l.upArr, cfg.SampleRate)
-	l.tdlDown.Rebuild(l.down)
-	l.tdlUp.Rebuild(l.up)
 }
 
 func appendTaps(dst []Tap, arr []ocean.Arrival, fs float64) []Tap {
@@ -248,7 +217,7 @@ func (l *Link) Downlink(tx []complex128) []complex128 {
 // DownlinkInto is Downlink writing into dst, which must have the same
 // length as tx and must not alias it. It allocates nothing.
 func (l *Link) DownlinkInto(dst, tx []complex128) []complex128 {
-	l.tdlDown.Apply(dst, tx)
+	applyTDLInto(dst, tx, l.down)
 	return dst
 }
 
@@ -265,7 +234,7 @@ func (l *Link) Uplink(scattered, txLeak []complex128) []complex128 {
 // as scattered and must not alias scattered or txLeak. Noise scratch comes
 // from the link workspace, so the steady state allocates nothing.
 func (l *Link) UplinkInto(dst, scattered, txLeak []complex128) []complex128 {
-	l.tdlUp.Apply(dst, scattered)
+	applyTDLInto(dst, scattered, l.up)
 	if l.fading != nil {
 		l.fading.Apply(dst)
 	}
@@ -282,10 +251,9 @@ func (l *Link) UplinkInto(dst, scattered, txLeak []complex128) []complex128 {
 	return dst
 }
 
-// addNoise injects ambient noise (white, or Wenz-shaped when configured)
-// with total in-band power matching the environment's noise level. The
-// Gaussian draw lands in workspace scratch and the shaper filters it in
-// place (see the dsp.CFIR.ProcessInto aliasing contract).
+// addNoise injects white ambient noise with total in-band power matching
+// the environment's noise level. The Gaussian draw lands in workspace
+// scratch, so the steady state allocates nothing.
 func (l *Link) addNoise(y []complex128) {
 	if l.noiseAmp <= 0 {
 		return
@@ -293,67 +261,7 @@ func (l *Link) addNoise(y []complex128) {
 	l.ws.noise = growBuf(l.ws.noise, len(y))
 	noise := l.ws.noise
 	dsp.GaussianNoiseInto(noise, l.noiseAmp*l.noiseAmp, l.rng)
-	if l.shaper != nil {
-		l.shaper.Reset()
-		l.shaper.ProcessInto(noise, noise)
-	}
 	dsp.AddInto(y, noise)
-}
-
-// wenzShaperKey identifies a shaper design: the filter depends only on the
-// environment's noise model, the carrier and the sample rate — never on
-// link geometry — so one design serves every link (and every rebuild) in a
-// simulation sweep.
-type wenzShaperKey struct {
-	env    ocean.Environment
-	fc, fs float64
-}
-
-var wenzShaperCache sync.Map // wenzShaperKey → []complex128 (immutable taps)
-
-// wenzShaperTaps returns the cached Wenz shaping-filter taps for the given
-// environment fingerprint, designing them on first use. The cached slice is
-// immutable; callers clone it into a private dsp.CFIR (whose constructor
-// copies taps) so per-link filter state never aliases the cache.
-func wenzShaperTaps(env *ocean.Environment, fc, fs float64) ([]complex128, error) {
-	key := wenzShaperKey{env: *env, fc: fc, fs: fs}
-	if v, ok := wenzShaperCache.Load(key); ok {
-		metShaperHits.Inc()
-		return v.([]complex128), nil
-	}
-	metShaperMisses.Inc()
-	f, err := wenzShaper(env, fc, fs)
-	if err != nil {
-		return nil, err
-	}
-	taps := f.Taps()
-	if v, raced := wenzShaperCache.LoadOrStore(key, taps); raced {
-		return v.([]complex128), nil
-	}
-	return taps, nil
-}
-
-// wenzShaper builds the PSD-shaping filter: the baseband bin at offset f
-// carries the Wenz density at fc+f, normalized to unit mean so the white
-// noise amplitude calibration is preserved.
-func wenzShaper(env *ocean.Environment, fc, fs float64) (*dsp.CFIR, error) {
-	const bins = 256
-	psd := make([]float64, bins)
-	var mean float64
-	for k := 0; k < bins; k++ {
-		f := float64(k) * fs / bins
-		if k > bins/2 {
-			f -= fs
-		}
-		p := math.Pow(10, env.NoisePSD(fc+f)/10)
-		psd[k] = p
-		mean += p
-	}
-	mean /= bins
-	for k := range psd {
-		psd[k] /= mean
-	}
-	return dsp.NoiseShapingFIR(psd, 65, dsp.Hamming)
 }
 
 // RoundTrip runs the full backscatter path: the reader's transmit envelope

@@ -374,33 +374,3 @@ func TestRoundTripAbsoluteErrors(t *testing.T) {
 		t.Error("length mismatch accepted")
 	}
 }
-
-func TestColoredNoiseFollowsWenzSlope(t *testing.T) {
-	cfg := testCfg()
-	cfg.DisableNoise = false
-	cfg.ColoredNoise = true
-	l, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := l.Uplink(make([]complex128, 1<<16), nil)
-	// Wenz falls with frequency: the bin at -6 kHz baseband (12.5 kHz
-	// absolute) must carry more noise than the bin at +6 kHz (24.5 kHz).
-	gLow := dsp.NewGoertzel(-6000, cfg.SampleRate)
-	gHigh := dsp.NewGoertzel(6000, cfg.SampleRate)
-	var lo, hi float64
-	block := 1024
-	for off := 1024; off+block <= len(y); off += block {
-		lo += gLow.Energy(y[off : off+block])
-		hi += gHigh.Energy(y[off : off+block])
-	}
-	wantRatio := math.Pow(10, (cfg.Env.NoisePSD(12.5e3)-cfg.Env.NoisePSD(24.5e3))/10)
-	got := lo / hi
-	if got < wantRatio/2 || got > wantRatio*2 {
-		t.Errorf("colored-noise band ratio %v, Wenz predicts %v", got, wantRatio)
-	}
-	// Total power stays calibrated to the white-noise level.
-	if p := dsp.Power(y[1024:]); math.Abs(p-l.NoiseAmplitude()*l.NoiseAmplitude()) > 0.25*l.NoiseAmplitude()*l.NoiseAmplitude() {
-		t.Errorf("colored noise power %v, want ~%v", p, l.NoiseAmplitude()*l.NoiseAmplitude())
-	}
-}

@@ -3,14 +3,12 @@ package channel
 import "vab/internal/telemetry"
 
 // Package-level metric handles, nil (free no-ops) until Instrument wires
-// them to a registry — same write-once contract as dsp.Instrument. The
-// shaper-cache counters are touched from arbitrary goroutines building
-// links concurrently, but Counter.Inc is atomic and nil-safe.
+// them to a registry — same write-once contract as dsp.Instrument. Links
+// are built and rebuilt from arbitrary goroutines, but Counter.Inc is
+// atomic and nil-safe.
 var (
 	metLinkBuilds    *telemetry.Counter
 	metLinkRebuilds  *telemetry.Counter
-	metShaperHits    *telemetry.Counter
-	metShaperMisses  *telemetry.Counter
 	metWorkspaceGrow *telemetry.Counter
 )
 
@@ -24,10 +22,6 @@ func Instrument(reg *telemetry.Registry) {
 		"Links constructed from scratch by channel.New.")
 	metLinkRebuilds = reg.Counter("vab_channel_link_rebuilds_total",
 		"Incremental geometry rebuilds that reused an existing Link.")
-	metShaperHits = reg.Counter("vab_channel_shaper_cache_hits_total",
-		"Wenz noise-shaper designs served from the per-environment cache.")
-	metShaperMisses = reg.Counter("vab_channel_shaper_cache_misses_total",
-		"Wenz noise-shaper designs computed (one per environment/carrier/rate).")
 	metWorkspaceGrow = reg.Counter("vab_channel_workspace_grows_total",
 		"Link scratch buffer growths; flat after warmup in steady state.")
 }

@@ -1,20 +1,17 @@
 package channel
 
 import (
-	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-// fullCfg is testCfg with every stochastic subsystem on: noise (colored),
-// fading, leakage — the configuration where RNG-stream equivalence between
-// Rebuild and a fresh New actually matters.
+// fullCfg is testCfg with every stochastic subsystem on: noise, fading,
+// leakage — the configuration where RNG-stream equivalence between Rebuild
+// and a fresh New actually matters.
 func fullCfg() Config {
 	cfg := testCfg()
 	cfg.DisableNoise = false
 	cfg.DisableFading = false
-	cfg.ColoredNoise = true
 	cfg.SelfInterferenceDB = -30
 	return cfg
 }
@@ -152,7 +149,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 
 // TestSteadyStateAllocs pins the allocation discipline: once warmed up,
 // the per-round channel pipeline — geometry rebuild plus round trip with
-// colored noise, fading and leakage — performs zero heap allocations.
+// noise, fading and leakage — performs zero heap allocations.
 func TestSteadyStateAllocs(t *testing.T) {
 	l, err := New(fullCfg())
 	if err != nil {
@@ -197,128 +194,5 @@ func TestSteadyStateAllocs(t *testing.T) {
 		l.UplinkInto(dst, tx, nil)
 	}); n != 0 {
 		t.Errorf("UplinkInto allocates %.1f times per call in steady state, want 0", n)
-	}
-}
-
-// TestTDLFrequencyMatchesTime checks the overlap-save engine against the
-// reference time-domain arithmetic: relative error must sit at numerical
-// noise, far below the −120 dB acceptance bound.
-func TestTDLFrequencyMatchesTime(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, nTaps := range []int{1, 4, 16, 64} {
-		for _, n := range []int{100, 1000, 4096} {
-			taps := make([]Tap, nTaps)
-			for i := range taps {
-				taps[i] = Tap{
-					DelaySamples: 800 + rng.Float64()*300,
-					Gain:         complex(rng.NormFloat64(), rng.NormFloat64()),
-				}
-			}
-			x := make([]complex128, n)
-			for i := range x {
-				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			want := make([]complex128, n)
-			NewTDL(taps, false).Apply(want, x)
-			got := make([]complex128, n)
-			ftdl := NewTDL(taps, true)
-			ftdl.Apply(got, x)
-
-			var errE, refE float64
-			for i := range want {
-				d := got[i] - want[i]
-				errE += real(d)*real(d) + imag(d)*imag(d)
-				refE += real(want[i])*real(want[i]) + imag(want[i])*imag(want[i])
-			}
-			if refE == 0 {
-				t.Fatalf("taps=%d n=%d: degenerate reference", nTaps, n)
-			}
-			relDB := 10 * math.Log10(errE/refE)
-			if !(relDB < -120) {
-				t.Errorf("taps=%d n=%d: overlap-save error %.1f dB relative, want < -120 dB", nTaps, n, relDB)
-			}
-
-			// Steady state: the frequency engine must not allocate either.
-			if a := testing.AllocsPerRun(10, func() { ftdl.Apply(got, x) }); a != 0 {
-				t.Errorf("taps=%d n=%d: frequency TDL allocates %.1f per Apply", nTaps, n, a)
-			}
-		}
-	}
-}
-
-// TestFrequencyDomainTDLConfig exercises the opt-in through the Link API.
-func TestFrequencyDomainTDLConfig(t *testing.T) {
-	cfg := testCfg()
-	timeL, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FrequencyDomainTDL = true
-	freqL, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := make([]complex128, 2000)
-	for i := range tx {
-		tx[i] = complex(1e8, 0)
-	}
-	a := timeL.Downlink(tx)
-	b := freqL.Downlink(tx)
-	var errE, refE float64
-	for i := range a {
-		d := b[i] - a[i]
-		errE += real(d)*real(d) + imag(d)*imag(d)
-		refE += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
-	}
-	if relDB := 10 * math.Log10(errE/refE); !(relDB < -120) {
-		t.Errorf("frequency-domain downlink differs by %.1f dB relative, want < -120 dB", relDB)
-	}
-}
-
-// TestWenzShaperCache verifies the cached design equals a direct design
-// and that per-link filters do not share mutable state.
-func TestWenzShaperCache(t *testing.T) {
-	cfg := testCfg()
-	cfg.DisableNoise = false
-	cfg.ColoredNoise = true
-	direct, err := wenzShaper(cfg.Env, cfg.CarrierHz, cfg.SampleRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := wenzShaperTaps(cfg.Env, cfg.CarrierHz, cfg.SampleRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := direct.Taps()
-	if len(dt) != len(cached) {
-		t.Fatalf("tap count %d != %d", len(cached), len(dt))
-	}
-	for i := range dt {
-		if dt[i] != cached[i] {
-			t.Fatalf("cached tap %d = %v, direct %v", i, cached[i], dt[i])
-		}
-	}
-	// Two links over the same environment share the design but not the
-	// filter: running one's shaper must not perturb the other's stream.
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.shaper == b.shaper {
-		t.Fatal("links share one CFIR instance (mutable state aliasing)")
-	}
-	ya := a.Uplink(make([]complex128, 256), nil)
-	yb := b.Uplink(make([]complex128, 256), nil)
-	for i := range ya {
-		if ya[i] != yb[i] {
-			t.Fatalf("equal-seed links diverged at %d: %v != %v", i, ya[i], yb[i])
-		}
-	}
-	if cmplx.Abs(ya[40]) == 0 {
-		t.Fatal("shaped noise came out zero")
 	}
 }

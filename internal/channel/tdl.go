@@ -6,141 +6,12 @@ import (
 	"vab/internal/dsp"
 )
 
-// TDL applies a tapped delay line with the common bulk delay removed (the
-// relative-delay convolution Downlink and Uplink use). Two engines are
-// available:
-//
-//   - Time domain (the default): one dsp.MixInto pass per tap, in tap
-//     order. This is the reference arithmetic — seeded simulations are
-//     byte-identical to the historical applyTDL loop.
-//   - Frequency domain (opt-in): overlap-save block convolution against
-//     the FFT of the dense tap kernel, reusing the dsp plan cache. Cost is
-//     O(n log L) independent of tap count instead of O(n·taps), so it wins
-//     once the delay line carries more than a few dozen taps (see
-//     BenchmarkTDLTime/BenchmarkTDLFreq for the measured crossover), but
-//     FFT rounding means results match the time engine only to ~1e-13
-//     relative error, not bit-exactly — which is why channel.Config keeps
-//     it opt-in.
-//
-// A TDL is not safe for concurrent use (the frequency engine owns scratch
-// buffers). Rebuild reuses all storage, so steady-state rebuilds are
-// allocation-free.
-type TDL struct {
-	taps []Tap
-	freq bool
-
-	// Overlap-save state (frequency engine only).
-	kernelLen int          // L: dense kernel length, maxOffset+1
-	fftSize   int          // M: block transform size (power of two)
-	spec      []complex128 // FFT of the zero-padded kernel, length M
-	seg       []complex128 // gather/transform segment, length M
-}
-
-// NewTDL builds a delay line over the given taps (the slice is referenced,
-// not copied; Rebuild after mutating it). frequencyDomain selects the
-// overlap-save engine.
-func NewTDL(taps []Tap, frequencyDomain bool) *TDL {
-	t := &TDL{freq: frequencyDomain}
-	t.Rebuild(taps)
-	return t
-}
-
-// Rebuild points the delay line at a new tap set, recomputing the kernel
-// spectrum when the frequency engine is active. All storage is reused: a
-// steady-state caller that sways its geometry every round allocates
-// nothing here once buffers have grown to their working size.
-func (t *TDL) Rebuild(taps []Tap) {
-	t.taps = taps
-	if !t.freq {
-		return
-	}
-	if len(taps) == 0 {
-		t.kernelLen = 0
-		return
-	}
-	base := math.Inf(1)
-	for _, tp := range taps {
-		if tp.DelaySamples < base {
-			base = tp.DelaySamples
-		}
-	}
-	maxOff := 0
-	for _, tp := range taps {
-		if off := int(math.Round(tp.DelaySamples - base)); off > maxOff {
-			maxOff = off
-		}
-	}
-	t.kernelLen = maxOff + 1
-	// Block size: a few kernel lengths per transform amortizes the L-1
-	// overlap; 256 floors tiny kernels so the FFT stays efficient.
-	m := dsp.NextPow2(4 * t.kernelLen)
-	if m < 256 {
-		m = 256
-	}
-	t.fftSize = m
-	t.spec = growBuf(t.spec, m)
-	for i := range t.spec {
-		t.spec[i] = 0
-	}
-	for _, tp := range taps {
-		t.spec[int(math.Round(tp.DelaySamples-base))] += tp.Gain
-	}
-	dsp.FFTInto(t.spec, t.spec)
-}
-
-// Apply convolves x with the delay line into dst. dst and x must have equal
-// length and must not alias (the gather reads x while dst fills).
-func (t *TDL) Apply(dst, x []complex128) {
-	if len(dst) != len(x) {
-		panic("channel: TDL Apply length mismatch")
-	}
-	if !t.freq {
-		applyTDLInto(dst, x, t.taps)
-		return
-	}
-	if t.kernelLen == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	l, m := t.kernelLen, t.fftSize
-	block := m - l + 1
-	t.seg = growBuf(t.seg, m)
-	seg := t.seg
-	n := len(x)
-	for pos := 0; pos < n; pos += block {
-		// Gather x[pos-(L-1) … pos-(L-1)+M) with zeros outside the signal:
-		// overlap-save discards the first L-1 circularly-wrapped outputs.
-		lo := pos - (l - 1)
-		for i := range seg {
-			seg[i] = 0
-		}
-		from, at := lo, 0
-		if from < 0 {
-			at = -from
-			from = 0
-		}
-		if from < n {
-			copy(seg[at:], x[from:min(n, lo+m)])
-		}
-		dsp.FFTInto(seg, seg)
-		for i := range seg {
-			seg[i] *= t.spec[i]
-		}
-		dsp.IFFTInto(seg, seg)
-		b := block
-		if pos+b > n {
-			b = n - pos
-		}
-		copy(dst[pos:pos+b], seg[l-1:l-1+b])
-	}
-}
-
-// applyTDLInto is the reference time-domain engine: zero dst, then one
-// mix-accumulate pass per tap in tap order, delays rounded to whole samples
-// relative to the earliest tap. This is the arithmetic seeded experiments
-// pin bit-exactly; any alternative engine must be validated against it.
+// applyTDLInto applies a tapped delay line with the common bulk delay
+// removed (the relative-delay convolution Downlink and Uplink use): zero
+// dst, then one dsp.MixInto pass per tap in tap order, delays rounded to
+// whole samples relative to the earliest tap. dst and x must have equal
+// length and must not alias. This is the arithmetic seeded experiments pin
+// bit-exactly.
 func applyTDLInto(dst, x []complex128, taps []Tap) {
 	if len(dst) != len(x) {
 		panic("channel: applyTDLInto length mismatch")

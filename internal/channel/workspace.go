@@ -7,7 +7,7 @@ package channel
 // the contract TestRoundTripSteadyStateAllocs pins.
 type workspace struct {
 	atNode []complex128 // RoundTripInto's node-side intermediate
-	noise  []complex128 // addNoise's pre-shaping Gaussian draw
+	noise  []complex128 // addNoise's Gaussian draw
 }
 
 // growBuf returns buf resized to n, reallocating only when capacity is

@@ -11,7 +11,7 @@ import "fmt"
 //
 // Welch averaging trades frequency resolution for variance: single
 // periodograms of noise have 100% relative variance per bin, useless for
-// verifying spectral shapes like the channel's Wenz coloring.
+// verifying spectral shapes.
 func WelchPSD(x []complex128, nfft int, w Window) ([]float64, error) {
 	if nfft < 8 {
 		return nil, fmt.Errorf("dsp: welch needs nfft >= 8, got %d", nfft)

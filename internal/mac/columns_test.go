@@ -6,11 +6,10 @@ import (
 )
 
 // TestColumnsMatchFold drives randomized outcome sequences through the
-// NodeState fold primitives and the NodeColumns counterparts and checks
-// the materialized state matches field for field — including the
-// unexported probe-schedule fields — after every step. This is the
-// layout-parity pin behind the link-abstraction tier's struct-of-arrays
-// fold: same outcomes, same decisions, bit for bit.
+// struct-based reference model (fold_test.go) and the NodeColumns fold
+// state machine and checks the materialized state matches field for field
+// — including the unexported probe-schedule fields — after every step:
+// same outcomes, same decisions, bit for bit.
 func TestColumnsMatchFold(t *testing.T) {
 	policies := []PollPolicy{
 		DefaultPollPolicy(),

@@ -4,6 +4,81 @@ import (
 	"testing"
 )
 
+// Reference model of the fold state machine, for tests only.
+//
+// The transitions below act on one mutable NodeState per node and share
+// no code with the NodeColumns fold — the health EWMA is written out here
+// rather than calling foldHealth — so TestColumnsMatchFold and
+// TestFoldPrimitivesMatchScheduler check the production state machine
+// against an independent model, field for field.
+
+// FoldDelivered folds a delivered poll (or a restoring probe's successful
+// round) into the node's bookkeeping: success and SNR accounting plus the
+// health EWMA. Quarantine exit for probes is a separate step — see
+// (*NodeState).Restore.
+func FoldDelivered(st *NodeState, snrDB float64) {
+	st.Successes++
+	st.LastSNRdB = snrDB
+	st.SilentCycles = 0
+	observeHealth(st, true)
+}
+
+// Restore exits quarantine after a successful re-probe and returns the
+// recovery latency in cycles.
+func (st *NodeState) Restore(cycle int) int {
+	st.Quarantined = false
+	return cycle - st.quarantinedAt + 1
+}
+
+// FoldProbeFailure folds a failed quarantine re-probe: the health EWMA
+// decays and the re-probe backoff doubles up to the policy cap.
+func (p PollPolicy) FoldProbeFailure(st *NodeState, cycle int) {
+	observeHealth(st, false)
+	st.probeInterval *= 2
+	if max := p.probeMax(); st.probeInterval > max {
+		st.probeInterval = max
+	}
+	st.nextProbe = cycle + st.probeInterval
+}
+
+// FoldPollFailure folds a poll whose retry budget is exhausted: the silent
+// cycle is counted and the liveness policy applied.
+func (p PollPolicy) FoldPollFailure(st *NodeState, cycle int) LivenessChange {
+	observeHealth(st, false)
+	st.SilentCycles++
+	if p.DropAfter > 0 && st.SilentCycles >= p.DropAfter {
+		if p.Probation {
+			st.Quarantined = true
+			st.QuarantineEntries++
+			st.quarantinedAt = cycle
+			st.probeInterval = p.probeBase()
+			st.nextProbe = cycle + st.probeInterval
+			return LivenessQuarantined
+		}
+		st.Dropped = true
+		return LivenessDropped
+	}
+	return LivenessNone
+}
+
+// ProbeDue reports whether a quarantined node's re-probe backoff has
+// elapsed at the given cycle.
+func (st *NodeState) ProbeDue(cycle int) bool {
+	return st.Quarantined && cycle >= st.nextProbe
+}
+
+// NextProbe returns the cycle index of the node's next scheduled re-probe.
+func (st *NodeState) NextProbe() int { return st.nextProbe }
+
+// observeHealth folds one cycle outcome into the node's health score.
+func observeHealth(st *NodeState, delivered bool) {
+	outcome := 0.0
+	if delivered {
+		outcome = 1
+	}
+	st.Health = (1-healthAlpha)*st.Health + healthAlpha*outcome
+}
+
 // scriptTrx replays a fixed per-address outcome schedule: outcomes[addr][i]
 // is the result of the i-th poll of addr (false = timeout). Exhausted
 // scripts keep returning the last entry.
@@ -99,20 +174,20 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 // TestFoldPollFailureTransitions pins the liveness transitions.
 func TestFoldPollFailureTransitions(t *testing.T) {
 	p := PollPolicy{MaxRetries: 0, BackoffSlots: 8, DropAfter: 2, Probation: true}
-	st := NodeState{Addr: 1, Health: 1}
-	if ch := p.FoldPollFailure(&st, 0); ch != LivenessNone {
+	c := NewNodeColumns(2)
+	if ch := p.FoldPollFailureAt(c, 0, 0); ch != LivenessNone {
 		t.Fatalf("first silent cycle: got %v, want LivenessNone", ch)
 	}
-	if ch := p.FoldPollFailure(&st, 1); ch != LivenessQuarantined {
+	if ch := p.FoldPollFailureAt(c, 0, 1); ch != LivenessQuarantined {
 		t.Fatalf("second silent cycle: got %v, want LivenessQuarantined", ch)
 	}
-	if !st.ProbeDue(1 + st.nextProbe - st.quarantinedAt) {
+	due := 1 + int(c.NextProbe[0]-c.QuarantinedAt[0])
+	if !c.ProbeDueAt(0, due) {
 		t.Fatal("probe not due at nextProbe")
 	}
 
 	drop := PollPolicy{MaxRetries: 0, BackoffSlots: 8, DropAfter: 1}
-	st2 := NodeState{Addr: 2, Health: 1}
-	if ch := drop.FoldPollFailure(&st2, 0); ch != LivenessDropped || !st2.Dropped {
-		t.Fatalf("drop policy: got %v dropped=%v", ch, st2.Dropped)
+	if ch := drop.FoldPollFailureAt(c, 1, 0); ch != LivenessDropped || !c.Dropped(1) {
+		t.Fatalf("drop policy: got %v dropped=%v", ch, c.Dropped(1))
 	}
 }

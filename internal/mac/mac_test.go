@@ -38,31 +38,37 @@ func (f *fakeTrx) Poll(addr byte) (RoundResult, error) {
 
 func TestSchedulerBasics(t *testing.T) {
 	trx := newFakeTrx()
-	trx.outcomes[1] = []bool{true}
-	trx.outcomes[2] = []bool{true}
+	for _, a := range []byte{0, 1, 2, 255} {
+		trx.outcomes[a] = []bool{true}
+	}
 	s, err := NewScheduler(trx, DefaultPollPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.AddNode(2)
+	s.AddNode(255)
 	s.AddNode(1)
+	s.AddNode(0)
 	s.AddNode(1) // duplicate ignored
+	s.AddNode(255)
 	rep, err := s.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Polled != 2 || rep.Delivered != 2 || rep.Retries != 0 {
+	if rep.Polled != 4 || rep.Delivered != 4 || rep.Retries != 0 {
 		t.Errorf("report %+v", rep)
 	}
-	if string(rep.Payloads[1]) != "\x01" {
+	if string(rep.Payloads[1]) != "\x01" || string(rep.Payloads[255]) != "\xff" {
 		t.Error("payload routing wrong")
 	}
 	nodes := s.Nodes()
-	if len(nodes) != 2 || nodes[0].Addr != 1 || nodes[1].Addr != 2 {
+	if len(nodes) != 4 || nodes[0].Addr != 0 || nodes[1].Addr != 1 || nodes[2].Addr != 2 || nodes[3].Addr != 255 {
 		t.Errorf("nodes %+v", nodes)
 	}
-	if r := s.DeliveryRatio(1); r != 1 {
-		t.Errorf("delivery ratio %v", r)
+	for _, a := range []byte{0, 1, 255} {
+		if r := s.DeliveryRatio(a); r != 1 {
+			t.Errorf("node %d delivery ratio %v", a, r)
+		}
 	}
 	if s.DeliveryRatio(99) != 0 {
 		t.Error("unknown node should report 0")
