@@ -47,28 +47,21 @@ import (
 )
 
 // sinkConn is a counting-sink subscriber socket for the gateway flush
-// workloads: the first Read serves a scripted client hello upgrading the
-// session to ProtocolV2, later Reads block until Close, and Writes are
-// accepted instantly. Drain cost is zero and identical regardless of
+// workloads: a silent client whose Reads block until Close and whose
+// Writes are accepted instantly. Drain cost is zero and identical regardless of
 // server internals, so the workload isolates server-side flush cost —
 // encode, sequence, fan-out, and the writer path down to the socket call.
 type sinkConn struct {
-	hello  []byte // remaining scripted bytes; only the server's read loop touches it
 	closed atomic.Bool
 	unread chan struct{}
 	addr   netmem.Addr
 }
 
-func newSinkConn(hello []byte) *sinkConn {
-	return &sinkConn{hello: hello, unread: make(chan struct{}), addr: netmem.Addr{Name: "sink"}}
+func newSinkConn() *sinkConn {
+	return &sinkConn{unread: make(chan struct{}), addr: netmem.Addr{Name: "sink"}}
 }
 
 func (c *sinkConn) Read(b []byte) (int, error) {
-	if len(c.hello) > 0 {
-		n := copy(b, c.hello)
-		c.hello = c.hello[n:]
-		return n, nil
-	}
 	<-c.unread
 	return 0, io.EOF
 }
@@ -358,28 +351,13 @@ func main() {
 	// subscribers; one op publishes `flushes` full batches and waits until
 	// every subscriber has received every flush frame (framesSent
 	// telemetry). ns/item is the per-reading-per-subscriber delivery cost.
-	// The 1k shape upgrades every subscriber to v2 (one batch frame per
-	// flush); the 10k shape keeps the fleet on the legacy v1 wire (one
-	// frame per reading — sixteen per flush), the per-frame fan-out cost
-	// that dominates with deployed pre-batching clients. Built lazily so
+	// Every subscriber receives one batch frame per flush. Built lazily so
 	// filtered runs don't pay the session setup.
 	const gwBatch = 16
-	mkGatewayFlush := func(subs, flushes int, v2 bool) func() {
+	mkGatewayFlush := func(subs, flushes int) func() {
 		var op func()
 		return func() {
 			if op == nil {
-				var hello []byte
-				if v2 {
-					var err error
-					hello, err = gateway.EncodeFrame(gateway.MsgHello, []byte{gateway.ProtocolV2})
-					if err != nil {
-						fatal(err)
-					}
-				}
-				framesPerFlush := gwBatch // v1: one frame per reading
-				if v2 {
-					framesPerFlush = 1 // one batch frame per flush
-				}
 				ln := newSinkListener(subs)
 				srv := gateway.NewServerListener(context.Background(), ln, func(string, ...interface{}) {})
 				srv.SetBatching(gwBatch, time.Hour)
@@ -388,15 +366,14 @@ func main() {
 				srv.Instrument(reg)
 				frames := reg.Counter("vab_gateway_frames_sent_total", "")
 				for i := 0; i < subs; i++ {
-					ln.add(newSinkConn(hello))
+					ln.add(newSinkConn())
 				}
 				for srv.Subscribers() < subs {
 					time.Sleep(time.Millisecond)
 				}
-				time.Sleep(200 * time.Millisecond) // hello upgrades settle
 				rd := gateway.Reading{NodeAddr: 1, Seq: 1, Count: 1, TempC: 15, PressureMbar: 1250, SNRdB: 18, Time: time.Unix(0, 1700000000000000000).UTC()}
 				op = func() {
-					want := frames.Value() + int64(flushes*framesPerFlush*subs)
+					want := frames.Value() + int64(flushes*subs) // one frame per flush
 					for f := 0; f < flushes; f++ {
 						for i := 0; i < gwBatch; i++ {
 							srv.Publish(rd)
@@ -413,11 +390,8 @@ func main() {
 			op()
 		}
 	}
-	// The 10k op stays at 4 flushes: 64 v1 frames fills exactly one
-	// subscriber send-queue's worth of backlog, so the op is comparable
-	// across gateway designs without tripping slow-subscriber eviction.
-	gatewayFlush1k := mkGatewayFlush(1_000, 8, true)
-	gatewayFlush10k := mkGatewayFlush(10_000, 4, false)
+	gatewayFlush1k := mkGatewayFlush(1_000, 8)
+	gatewayFlush10k := mkGatewayFlush(10_000, 4)
 
 	// items gives per-op item counts for ns/item normalization (per-node
 	// cost for the fleet-cycle workloads, per-reading cost for the wire

@@ -152,7 +152,7 @@ func main() {
 				continue
 			}
 			for _, r := range readings {
-				srv.Publish(gateway.Reading{
+				err := srv.Publish(gateway.Reading{
 					NodeAddr:     r.Addr,
 					Seq:          seqs[r.Addr],
 					Count:        r.Reading.Count,
@@ -161,6 +161,9 @@ func main() {
 					SNRdB:        r.SNRdB,
 					Time:         time.Now().UTC(),
 				})
+				if err != nil {
+					log.Printf("vabgw: node %d: %v", r.Addr, err)
+				}
 				seqs[r.Addr]++
 			}
 			log.Printf("vabgw: cycle delivered %d/%d (subscribers: %d)",

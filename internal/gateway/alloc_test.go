@@ -12,22 +12,15 @@ import (
 // These pins hold the append/into forms at zero allocations per op once
 // their destination buffers are warm.
 
-func TestAppendReadingAllocs(t *testing.T) {
-	rd := testReading()
-	buf := make([]byte, 0, readingWireSize)
-	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendReading(buf[:0], rd)
-	}); n != 0 {
-		t.Errorf("AppendReading allocates %.1f/op, want 0", n)
-	}
-}
-
 func TestAppendFrameAllocs(t *testing.T) {
-	payload := AppendReading(nil, testReading())
+	payload, err := AppendReadingBatch(nil, []Reading{testReading()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 0, MaxFrameSize)
 	if n := testing.AllocsPerRun(200, func() {
 		var err error
-		buf, err = AppendFrame(buf[:0], MsgReading, payload)
+		buf, err = AppendFrame(buf[:0], MsgReadingBatch, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +62,11 @@ func TestBatchCodecAllocs(t *testing.T) {
 }
 
 func TestReadFrameBufAllocs(t *testing.T) {
-	frame, err := EncodeFrame(MsgReading, AppendReading(nil, testReading()))
+	payload, err := AppendReadingBatch(nil, []Reading{testReading()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeFrame(MsgReadingBatch, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

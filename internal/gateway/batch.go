@@ -9,11 +9,11 @@ import (
 	"vab/internal/bitio"
 )
 
-// Protocol v2: batched readings. The v1 wire ships every reading as its
-// own 38-byte float64-heavy frame under a 9-byte header — 47 bytes per
-// reading for values the sensors quantize to 16 bits at the source. The
-// v2 MsgReadingBatch payload carries one length-prefixed block of N
-// readings against a shared base:
+// Protocol v2: batched readings. The retired v1 wire shipped every
+// reading as its own 38-byte float64-heavy frame under a 9-byte header —
+// 47 bytes per reading for values the sensors quantize to 16 bits at the
+// source. The MsgReadingBatch payload carries one length-prefixed block
+// of N readings against a shared base:
 //
 //	uvarint N                      (≥ 1)
 //	base:   addr(1) seq(1) · uvarint count · zigzag temp (centi-°C) ·
@@ -29,20 +29,21 @@ import (
 // sensor pipeline, whose payloads are quantized at least that coarsely
 // at the node — and timestamps are exact nanoseconds.
 //
-// Negotiation: the server's hello stays the single byte [1] that v1
-// clients require. A client wanting batches replies with its own Hello
-// [2]; the server upgrades that subscriber and streams MsgReadingBatch
-// from the next flush. Clients that stay silent keep receiving v1
-// MsgReading frames, so old consumers work unchanged.
+// Every subscriber receives MsgReadingBatch frames from registration on,
+// so every published reading must fit this grid (Server.Publish checks).
+// The server's hello is the single byte [1]; a client that will answer
+// heartbeats replies with its own Hello [2] (WithBatching), which makes
+// the server judge it by silence.
 const (
-	// ProtocolV1 is the original one-frame-per-reading stream.
+	// ProtocolV1 is the version byte of the server's hello.
 	ProtocolV1 = 1
-	// ProtocolV2 adds batched MsgReadingBatch frames.
+	// ProtocolV2 is the version byte of the client hello that marks a
+	// session pong-capable.
 	ProtocolV2 = 2
 )
 
-// MsgReadingBatch carries a block of readings (protocol v2, gateway →
-// client; sent only to subscribers that negotiated v2).
+// MsgReadingBatch carries a block of readings (gateway → client; every
+// subscriber's live stream until it resumes).
 const MsgReadingBatch MsgType = 0x04
 
 // ErrBadBatch reports a malformed MsgReadingBatch payload.
@@ -58,7 +59,7 @@ func appendZigZag(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, bitio.ZigZag(v))
 }
 
-// quantizeReading maps one reading onto the v2 wire grid.
+// quantizeReading maps one reading onto the batch wire grid.
 func quantizeReading(rd Reading) (centi, mbar, snr int64, err error) {
 	if math.IsNaN(rd.TempC) || math.IsInf(rd.TempC, 0) ||
 		math.IsNaN(rd.PressureMbar) || math.IsInf(rd.PressureMbar, 0) ||

@@ -130,9 +130,10 @@ func TestBatchOversizeSplits(t *testing.T) {
 	// The server-side splitter must still deliver every reading.
 	s := &Server{logf: func(string, ...interface{}) {}}
 	s.pending = rds
+	s.pendingFirst = 1
 	b := &broadcast{}
-	s.encodeBroadcast(b, false, true, false)
-	frames := b.v2
+	s.encodeBroadcast(b)
+	frames := b.batch
 	var got []Reading
 	for _, frame := range frames {
 		payload := frame[frameHeaderSize:]
@@ -163,39 +164,9 @@ func TestV2ClientReceivesBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// The upgrade Hello races the first Publish; wait for the server to
-	// register it so the flush below is batched.
-	waitUpgrade(t, s)
+	waitSubscribers(t, s, 1)
 	rng := rand.New(rand.NewSource(21))
 	want := make([]Reading, 4)
-	for i := range want {
-		want[i] = quantizedReading(rng)
-		s.Publish(want[i])
-	}
-	for i, w := range want {
-		got, err := c.Next(time.Now().Add(5 * time.Second))
-		if err != nil {
-			t.Fatalf("reading %d: %v", i, err)
-		}
-		if got != w {
-			t.Fatalf("reading %d:\n got  %+v\n want %+v", i, got, w)
-		}
-	}
-}
-
-func TestV1ClientAgainstBatchingServer(t *testing.T) {
-	// Backward compatibility: a v1 client (no upgrade Hello) connected to
-	// a server with batching enabled still receives every reading as
-	// plain MsgReading frames.
-	s, _ := startServer(t)
-	s.SetBatching(3, time.Hour)
-	c, err := Dial(context.Background(), s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewSource(22))
-	want := make([]Reading, 3)
 	for i := range want {
 		want[i] = quantizedReading(rng)
 		s.Publish(want[i])
@@ -220,7 +191,7 @@ func TestDeadlineFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitUpgrade(t, s)
+	waitSubscribers(t, s, 1)
 	rd := quantizedReading(rand.New(rand.NewSource(23)))
 	s.Publish(rd)
 	got, err := c.Next(time.Now().Add(5 * time.Second))
@@ -233,8 +204,8 @@ func TestDeadlineFlush(t *testing.T) {
 }
 
 func TestMixedSubscribers(t *testing.T) {
-	// One v1 and one v2 subscriber on the same flush: both see the same
-	// readings, in order, through their respective wire formats.
+	// A default and a WithBatching subscriber on the same flush: both see
+	// the same readings, in order.
 	s, _ := startServer(t)
 	s.SetBatching(4, time.Hour)
 	v1, err := Dial(context.Background(), s.Addr().String())
@@ -247,7 +218,7 @@ func TestMixedSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	waitUpgrade(t, s)
+	waitSubscribers(t, s, 2)
 	rng := rand.New(rand.NewSource(24))
 	want := make([]Reading, 4)
 	for i := range want {
@@ -265,17 +236,4 @@ func TestMixedSubscribers(t *testing.T) {
 			}
 		}
 	}
-}
-
-// waitUpgrade blocks until at least one subscriber has negotiated v2.
-func waitUpgrade(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.cntV2.Load() > 0 || s.cntSeq.Load() > 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("subscriber never upgraded to v2")
 }

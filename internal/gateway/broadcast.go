@@ -3,12 +3,11 @@ package gateway
 import "sync/atomic"
 
 // broadcast is one flush's worth of encoded frames, shared by reference
-// across every subscriber ring: the v1 (per-reading MsgReading), v2
-// (MsgReadingBatch) and sequenced (MsgSeqBatch) variants are each encoded
-// exactly once into a single contiguous buffer, and subscribers hold
-// sub-slices of it. Refcounting recycles the arena through the server's
-// freelist once the last writer goroutine has drained it, so steady-state
-// broadcasts allocate nothing.
+// across every subscriber ring: the batch (MsgReadingBatch) and sequenced
+// (MsgSeqBatch) variants are each encoded exactly once into a single
+// contiguous buffer, and subscribers hold sub-slices of it. Refcounting
+// recycles the arena through the server's freelist once the last writer
+// goroutine has drained it, so steady-state broadcasts allocate nothing.
 //
 // Lifecycle: the flush path (under seqMu) takes an arena from the
 // freelist, encodes, sets refs to the shard count, and enqueues it to
@@ -24,7 +23,7 @@ type broadcast struct {
 	frames [][]byte // one sub-slice of buf per frame
 
 	// Variant views into frames (aliases, not copies).
-	v1, v2, seq [][]byte
+	batch, seq [][]byte
 }
 
 // broadcastFreelist bounds how many idle arenas the server retains.
@@ -46,51 +45,30 @@ func (s *Server) releaseBroadcast(b *broadcast) {
 	if b == nil || b.refs.Add(-1) != 0 {
 		return
 	}
-	b.v1, b.v2, b.seq = nil, nil, nil
+	b.batch, b.seq = nil, nil
 	select {
 	case s.freeBcast <- b:
 	default: // freelist full: let the GC take it
 	}
 }
 
-// encodeBroadcast encodes s.pending once into b, building only the
-// variants some subscriber needs. Returns the number of v2 and seq
-// frames (for the batch metric). Callers hold seqMu.
-func (s *Server) encodeBroadcast(b *broadcast, needV1, needV2, needSeq bool) (nBatch int) {
+// encodeBroadcast encodes s.pending once into b, in both variants.
+// Returns the number of frames encoded (for the batch metric). Callers
+// hold seqMu.
+func (s *Server) encodeBroadcast(b *broadcast) int {
 	b.buf = b.buf[:0]
 	b.bounds = append(b.bounds[:0], 0)
-	nV1 := 0
-	if needV1 {
-		for _, rd := range s.pending {
-			s.v1Payload = AppendReading(s.v1Payload[:0], rd)
-			buf, err := AppendFrame(b.buf, MsgReading, s.v1Payload)
-			if err != nil {
-				s.logf("gateway: encode reading: %v", err)
-				continue
-			}
-			b.buf = buf
-			b.bounds = append(b.bounds, len(b.buf))
-		}
-		nV1 = len(b.bounds) - 1
-	}
-	nV2 := 0
-	if needV2 {
-		nV2 = s.encodeBatchInto(b, s.pending, 0, false)
-	}
-	nSeq := 0
-	if needSeq {
-		nSeq = s.encodeBatchInto(b, s.pending, s.pendingFirst, true)
-	}
+	nBatch := s.encodeBatchInto(b, s.pending, 0, false)
+	nSeq := s.encodeBatchInto(b, s.pending, s.pendingFirst, true)
 	// Materialize the frame slices only after the buffer has stopped
 	// growing (append may reallocate b.buf, invalidating sub-slices).
 	b.frames = b.frames[:0]
 	for i := 0; i+1 < len(b.bounds); i++ {
 		b.frames = append(b.frames, b.buf[b.bounds[i]:b.bounds[i+1]])
 	}
-	b.v1 = b.frames[:nV1]
-	b.v2 = b.frames[nV1 : nV1+nV2]
-	b.seq = b.frames[nV1+nV2:]
-	return nV2 + nSeq
+	b.batch = b.frames[:nBatch]
+	b.seq = b.frames[nBatch:]
+	return nBatch + nSeq
 }
 
 // encodeBatchInto appends readings to b as one MsgReadingBatch (or

@@ -30,13 +30,13 @@ type Client struct {
 	// from a sequenced frame (0 before any).
 	lastSeq uint64
 	// pong caches the encoded MsgPong frame when this session answers
-	// heartbeats (nil = stay silent, the v1 behaviour).
+	// heartbeats (nil = stay silent, the default).
 	pong []byte
 	// ack* record the MsgResumeAck bounds once it arrives.
 	ackReplayFrom uint64
 	ackLiveNext   uint64
 	ackSeen       bool
-	// awaitingAck suppresses unsequenced reading frames on a resume
+	// awaitingAck suppresses unsequenced batch frames on a resume
 	// session until the MsgResumeAck arrives: readings the server fanned
 	// out before processing MsgResume are re-delivered by the replay, so
 	// passing them through would duplicate. A heartbeat before the ack
@@ -50,7 +50,7 @@ type DialOption func(*dialConfig)
 
 type dialConfig struct {
 	handshakeTimeout time.Duration
-	protocol         byte
+	hello            bool
 	resume           bool
 	resumeLast       uint64
 	localAddr        net.Addr
@@ -67,27 +67,27 @@ func WithHandshakeTimeout(d time.Duration) DialOption {
 	}
 }
 
-// WithBatching requests the v2 batched stream: after the handshake the
-// client sends its own Hello advertising ProtocolV2, and a v2-capable
-// gateway switches this subscription to MsgReadingBatch frames. Next
-// unpacks batches transparently, so callers see the same per-reading
-// interface either way. Gateways that predate v2 ignore the upgrade
-// (they never read from the socket) and keep sending v1 frames, which
-// the client still accepts — the option is safe against any server.
+// WithBatching makes the session answer heartbeats: after the handshake
+// the client sends its own Hello advertising ProtocolV2, which marks it
+// pong-capable, and Next replies to every MsgHeartbeat with a MsgPong.
+// The gateway then judges the session by silence and drops it when the
+// pongs stop; default clients never pong and are exempt from dead-peer
+// eviction. The stream itself is the same either way — every subscriber
+// receives MsgReadingBatch frames, which Next unpacks transparently.
 func WithBatching() DialOption {
-	return func(c *dialConfig) { c.protocol = ProtocolV2 }
+	return func(c *dialConfig) { c.hello = true }
 }
 
 // WithResume requests sequenced delivery with gap replay (implies
-// WithBatching): after the upgrade the client sends MsgResume carrying
+// WithBatching): after its Hello the client sends MsgResume carrying
 // the last stream sequence it saw (0 on a fresh session), and a
 // resume-capable gateway replays the missed window as MsgSeqBatch frames
 // before the live stream continues. Gateways that predate resume ignore
-// the frame and the session falls back to the plain v2 stream — the
-// option is safe against any server.
+// the frame and the session falls back to the unsequenced batch stream —
+// the option is safe against any server.
 func WithResume(lastSeq uint64) DialOption {
 	return func(c *dialConfig) {
-		c.protocol = ProtocolV2
+		c.hello = true
 		c.resume = true
 		c.resumeLast = lastSeq
 	}
@@ -103,7 +103,7 @@ func WithLocalAddr(addr net.Addr) DialOption {
 
 // Dial connects to a gateway and verifies the protocol handshake.
 func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{handshakeTimeout: 5 * time.Second, protocol: ProtocolV1}
+	cfg := dialConfig{handshakeTimeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -120,7 +120,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 // subscribe over netmem conns; it also suits tunneled or pre-dialed
 // transports. The conn is closed on handshake failure.
 func NewClientConn(conn net.Conn, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{handshakeTimeout: 5 * time.Second, protocol: ProtocolV1}
+	cfg := dialConfig{handshakeTimeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -136,20 +136,16 @@ func newClientConn(conn net.Conn, cfg dialConfig) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("gateway: handshake: %w", err)
 	}
-	if t != MsgHello || len(payload) != 1 || payload[0] != 1 {
+	if t != MsgHello || len(payload) != 1 || payload[0] != ProtocolV1 {
 		conn.Close()
 		return nil, fmt.Errorf("gateway: unexpected handshake frame type %d", t)
 	}
-	if cfg.protocol >= ProtocolV2 {
-		upgrade, err := EncodeFrame(MsgHello, []byte{cfg.protocol})
-		if err == nil {
-			_, err = conn.Write(upgrade)
-		}
-		if err != nil {
+	if cfg.hello {
+		if _, err := conn.Write(clientHelloFrame); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("gateway: protocol upgrade: %w", err)
+			return nil, fmt.Errorf("gateway: client hello: %w", err)
 		}
-		// A v2 session answers heartbeats, making it liveness-trackable.
+		// The session answers heartbeats, making it liveness-trackable.
 		// The pong frame is constant — share the package-level encoding.
 		c.pong = pongFrame
 	}
@@ -170,9 +166,9 @@ func newClientConn(conn net.Conn, cfg dialConfig) (*Client, error) {
 }
 
 // Next blocks until the next reading arrives, transparently skipping
-// heartbeats (answering them with pongs on v2 sessions) and unpacking
-// batch frames. The deadline (zero = none) bounds the wait. A graceful
-// server shutdown surfaces as ErrServerClosing.
+// heartbeats (answering them with pongs on WithBatching sessions) and
+// unpacking batch frames. The deadline (zero = none) bounds the wait. A
+// graceful server shutdown surfaces as ErrServerClosing.
 func (c *Client) Next(deadline time.Time) (Reading, error) {
 	if c.qpos < len(c.queue) {
 		rd := c.queue[c.qpos]
@@ -204,12 +200,6 @@ func (c *Client) Next(deadline time.Time) (Reading, error) {
 			// a heartbeat first means no ack is coming — fall back.
 			c.awaitingAck = false
 			continue
-		case MsgReading:
-			if c.awaitingAck {
-				continue // will arrive again in the replay
-			}
-			c.queueSeq = 0
-			return DecodeReading(payload)
 		case MsgReadingBatch:
 			if c.awaitingAck {
 				continue // will arrive again in the replay

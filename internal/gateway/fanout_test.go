@@ -91,11 +91,17 @@ func TestBroadcastAllocs(t *testing.T) {
 		return n
 	}
 	rd := seqReading(1)
+	batch, err := AppendReadingBatch(nil, []Reading{rd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameBytes := int64(frameHeaderSize + len(batch))
 	// One op = one published reading fanned out to every subscriber as a
-	// v1 frame; it completes when every writer has put the frame on its
-	// socket, so the measurement covers the full delivery path.
+	// one-reading batch frame; it completes when every writer has put the
+	// frame on its socket, so the measurement covers the full delivery
+	// path.
 	op := func() {
-		want := total() + subs*int64(V1FrameBytesPerReading)
+		want := total() + subs*frameBytes
 		s.Publish(rd)
 		for total() < want {
 			runtime.Gosched()

@@ -12,7 +12,8 @@ import (
 // Encoder and decoder share the MaxPayloadSize bound, so every accepted
 // frame must be one the encoder could have produced.
 func FuzzReadFrame(f *testing.F) {
-	good, _ := EncodeFrame(MsgReading, EncodeReading(testReading()))
+	batch, _ := AppendReadingBatch(nil, []Reading{testReading()})
+	good, _ := EncodeFrame(MsgReadingBatch, batch)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x56}, 64))
@@ -46,15 +47,6 @@ func oversizeHeader() []byte {
 	hdr = append(hdr, byte(MsgReading))
 	hdr = binary.BigEndian.AppendUint32(hdr, MaxPayloadSize+1)
 	return append(hdr, make([]byte, MaxPayloadSize+1)...)
-}
-
-// FuzzDecodeReading must never panic on arbitrary payloads.
-func FuzzDecodeReading(f *testing.F) {
-	f.Add(EncodeReading(testReading()))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		_, _ = DecodeReading(p)
-	})
 }
 
 // FuzzBatchDecode hammers the v2 batch decoder with arbitrary payloads:

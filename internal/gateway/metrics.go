@@ -17,8 +17,7 @@ type gwMetrics struct {
 	heartbeats  *telemetry.Counter // heartbeat frames sent
 	slowDrops   *telemetry.Counter // subscribers dropped for not draining
 	writeErrors *telemetry.Counter // socket write failures
-	upgrades    *telemetry.Counter // subscribers negotiated to protocol v2
-	batches     *telemetry.Counter // MsgReadingBatch frames encoded
+	batches     *telemetry.Counter // batch frames encoded, both variants
 	hbDrops     *telemetry.Counter // dead peers dropped for missing pongs
 	resumes     *telemetry.Counter // MsgResume sessions accepted
 	replayed    *telemetry.Counter // readings replayed from the ring
@@ -50,10 +49,8 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 			"Subscribers disconnected because their send queue filled."),
 		writeErrors: reg.Counter("vab_gateway_write_errors_total",
 			"Socket write failures (subscriber lost mid-frame)."),
-		upgrades: reg.Counter("vab_gateway_protocol_upgrades_total",
-			"Subscribers that negotiated the v2 batched stream."),
 		batches: reg.Counter("vab_gateway_reading_batches_total",
-			"Batch frames encoded for v2 and resumed subscribers."),
+			"Batch frames encoded: the MsgReadingBatch and MsgSeqBatch variants of every flush."),
 		hbDrops: reg.Counter("vab_gateway_dead_peer_drops_total",
 			"Subscribers dropped because heartbeat pongs stopped."),
 		resumes: reg.Counter("vab_gateway_resumes_total",

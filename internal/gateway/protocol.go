@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 )
 
@@ -36,7 +35,7 @@ type MsgType byte
 
 // Message types.
 const (
-	MsgReading   MsgType = 0x01 // sensor reading, gateway → client
+	MsgReading   MsgType = 0x01 // retired v1 per-reading frame; no longer sent
 	MsgHeartbeat MsgType = 0x02 // liveness, gateway → client
 	MsgHello     MsgType = 0x03 // version/handshake, gateway → client
 )
@@ -52,12 +51,13 @@ type Reading struct {
 	Time         time.Time
 }
 
-// readingWireSize is the fixed encoding size of a Reading payload.
+// readingWireSize is the fixed size of a retired v1 MsgReading payload
+// (addr, seq, count, three float64 fields, UnixNano).
 const readingWireSize = 1 + 1 + 4 + 8 + 8 + 8 + 8
 
-// V1FrameBytesPerReading is the total v1 wire cost of one reading —
-// frame header plus the fixed payload — the baseline the v2 batched
-// format is measured against.
+// V1FrameBytesPerReading is the wire cost of one reading in the retired
+// v1 per-reading stream — frame header plus the fixed payload — the
+// baseline the batched format is measured against.
 const V1FrameBytesPerReading = frameHeaderSize + readingWireSize
 
 // Errors.
@@ -124,36 +124,4 @@ func ReadFrameBuf(r io.Reader, buf []byte) (MsgType, []byte, error) {
 		return 0, buf, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	return t, payload, nil
-}
-
-// AppendReading appends the v1 fixed-layout reading payload to dst.
-func AppendReading(dst []byte, rd Reading) []byte {
-	out := append(dst, rd.NodeAddr, rd.Seq)
-	out = binary.BigEndian.AppendUint32(out, rd.Count)
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(rd.TempC))
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(rd.PressureMbar))
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(rd.SNRdB))
-	return binary.BigEndian.AppendUint64(out, uint64(rd.Time.UnixNano()))
-}
-
-// EncodeReading serializes a reading payload (v1 layout).
-func EncodeReading(rd Reading) []byte {
-	return AppendReading(make([]byte, 0, readingWireSize), rd)
-}
-
-// DecodeReading parses a reading payload.
-func DecodeReading(p []byte) (Reading, error) {
-	if len(p) != readingWireSize {
-		return Reading{}, fmt.Errorf("%w: reading payload %d bytes, want %d", ErrTruncated, len(p), readingWireSize)
-	}
-	rd := Reading{
-		NodeAddr: p[0],
-		Seq:      p[1],
-		Count:    binary.BigEndian.Uint32(p[2:6]),
-	}
-	rd.TempC = math.Float64frombits(binary.BigEndian.Uint64(p[6:14]))
-	rd.PressureMbar = math.Float64frombits(binary.BigEndian.Uint64(p[14:22]))
-	rd.SNRdB = math.Float64frombits(binary.BigEndian.Uint64(p[22:30]))
-	rd.Time = time.Unix(0, int64(binary.BigEndian.Uint64(p[30:38]))).UTC()
-	return rd, nil
 }

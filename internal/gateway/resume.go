@@ -10,10 +10,10 @@ import (
 //
 // The server numbers every published reading with a stream sequence
 // (uint64, starting at 1) and keeps the most recent readings in a replay
-// ring. A v2 client that wants recovery sends a MsgResume frame carrying
+// ring. A client that wants recovery sends a MsgResume frame carrying
 // the last stream sequence it saw (0 on a fresh session); the server
 // answers with MsgResumeAck and switches that subscriber to sequenced
-// MsgSeqBatch frames — the v2 batch block prefixed with the first
+// MsgSeqBatch frames — the batch block prefixed with the first
 // reading's stream sequence, consecutive within the frame. The ack names
 // the first sequence that will actually be delivered, so the client knows
 // exactly which readings (if any) aged out of the ring and are gone:
@@ -25,15 +25,15 @@ import (
 // replayFrom > lastSeq+1 means the gap [lastSeq+1, replayFrom) is
 // unrecoverable (the ring aged it out) and the session continues
 // live-only from replayFrom. Servers that predate resume simply ignore
-// the MsgResume frame, and the client falls back to the plain v2 stream.
+// the MsgResume frame, and the client falls back to the unsequenced
+// batch stream.
 //
 // Interleaving contract: the server composes the ack and the replay
 // under the broadcast lock, so replayed sequences are enqueued strictly
 // before any live flush that follows — a resumed subscriber observes one
 // gap-free, strictly increasing sequence.
 
-// Additional message types (protocol v2 extension; unknown to v1 peers,
-// which never see them, and ignored by pre-resume v2 servers).
+// Additional message types (ignored by servers that predate resume).
 const (
 	// MsgPong answers a gateway heartbeat (client → gateway). A subscriber
 	// that pongs is liveness-tracked: the gateway drops it when pongs stop.
@@ -89,7 +89,7 @@ func DecodeResumeAck(p []byte) (replayFrom, liveNext uint64, err error) {
 }
 
 // AppendSeqBatch appends a MsgSeqBatch payload: the first reading's
-// stream sequence followed by the v2 batch block. Readings in the frame
+// stream sequence followed by the batch block. Readings in the frame
 // carry consecutive sequences firstSeq, firstSeq+1, … It returns
 // ErrOversize when the whole payload would exceed MaxPayloadSize — split
 // the batch and retry, like AppendReadingBatch.

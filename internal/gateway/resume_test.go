@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -205,6 +206,58 @@ func TestResumeAgedOutGap(t *testing.T) {
 	}
 }
 
+// TestPublishRejectsUnencodable: a reading the batch codec cannot carry
+// is refused by Publish before it takes a stream sequence, so the
+// readings flushed alongside it still reach a sequenced subscriber, with
+// contiguous sequence numbers.
+func TestPublishRejectsUnencodable(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := NewServer(ctx, "127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetBatching(4, time.Hour)
+	c, err := Dial(ctx, addr(srv), WithResume(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitForSequenced(t, srv)
+
+	var kept []uint32
+	for i := uint64(1); i <= 8; i++ {
+		rd := seqReading(i)
+		switch i {
+		case 2:
+			rd.SNRdB = math.Inf(-1)
+		case 6:
+			rd.PressureMbar = 1e12 // beyond the quantizable range
+		}
+		err := srv.Publish(rd)
+		if bad := i == 2 || i == 6; bad != (err != nil) {
+			t.Fatalf("publish %d: err=%v, want rejected=%v", i, err, bad)
+		}
+		if err == nil {
+			kept = append(kept, rd.Count)
+		}
+	}
+	srv.Flush()
+	if next := srv.NextSeq(); next != uint64(len(kept))+1 {
+		t.Fatalf("NextSeq %d after %d accepted readings", next, len(kept))
+	}
+	for i, want := range kept {
+		rd, err := c.Next(time.Now().Add(2 * time.Second))
+		if err != nil {
+			t.Fatalf("next (want count %d): %v", want, err)
+		}
+		if rd.Count != want || c.LastSeq() != uint64(i+1) {
+			t.Fatalf("got count %d at seq %d, want count %d at seq %d", rd.Count, c.LastSeq(), want, i+1)
+		}
+	}
+}
+
 // TestHeartbeatDeadPeerEviction: a subscriber that proved it pongs and
 // then goes silent is dropped after miss periods; a v1 subscriber that
 // never ponged is left alone.
@@ -356,10 +409,10 @@ func waitForSequenced(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		// cntSeq moves under the sequence lock when MsgResume is
-		// processed — once it is nonzero, the replay entry is queued
-		// ahead of any flush published after this point.
-		if s.cntSeq.Load() > 0 {
+		// A subscriber turns sequenced when its shard flusher lands the
+		// resume entry — once any has, that replay is ahead of every
+		// flush published after this point.
+		if sequencedSubscribers(s) > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -367,6 +420,24 @@ func waitForSequenced(t *testing.T, s *Server) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// sequencedSubscribers counts the subscribers on MsgSeqBatch delivery.
+func sequencedSubscribers(s *Server) int {
+	s.seqMu.Lock()
+	shards := s.shards
+	s.seqMu.Unlock()
+	n := 0
+	for _, sh := range shards {
+		sh.mu.Lock()
+		for sub := range sh.subs {
+			if sub.sequenced.Load() {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // waitForSubscribers blocks until the server has exactly n subscribers.

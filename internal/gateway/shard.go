@@ -145,26 +145,11 @@ func (sh *shard) fanOut(bs []*broadcast) {
 	sh.mu.Lock()
 	for sub := range sh.subs {
 		entries = entries[:0]
-		class := sub.class.Load()
+		sequenced := sub.sequenced.Load()
 		for _, b := range bs {
-			var frames [][]byte
-			switch class {
-			case classSeq:
+			frames := b.batch
+			if sequenced {
 				frames = b.seq
-			case classV2:
-				frames = b.v2
-				if len(frames) == 0 {
-					frames = b.v1 // upgraded after the variant census: v1 burst is still correct v2 wire
-				}
-			default:
-				frames = b.v1
-			}
-			if len(frames) == 0 {
-				// The subscriber changed class after the flush's variant
-				// census and its variant was not encoded. Skipping this
-				// broadcast matches the old behaviour for a subscriber
-				// that registered after the flush started.
-				continue
 			}
 			// Take the subscriber's reference before the push makes the
 			// entry visible: the writer may pop and release it
@@ -172,9 +157,6 @@ func (sh *shard) fanOut(bs []*broadcast) {
 			// the count to zero mid-fan-out.
 			b.refs.Add(1)
 			entries = append(entries, ringEntry{frames: frames, b: b})
-		}
-		if len(entries) == 0 {
-			continue
 		}
 		ok, wasEmpty := sub.ring.pushN(entries)
 		if !ok {
@@ -246,9 +228,9 @@ func (sh *shard) deliverResume(sub *subscriber, frames [][]byte) {
 		return
 	}
 	// Sequenced delivery starts with the entry just queued: earlier ring
-	// entries carry pre-resume broadcasts (the client suppresses those
-	// until the ack), later flushes see classSeq at fan-out.
-	sub.class.Store(classSeq)
+	// entries carry pre-resume batches (the client suppresses those until
+	// the ack), later flushes see sequenced at fan-out.
+	sub.sequenced.Store(true)
 	if wasEmpty {
 		sub.wakeWriter()
 	}
@@ -281,21 +263,13 @@ func (sh *shard) evictLocked(sub *subscriber, why string) {
 	s.logf("gateway: dropped subscriber %v (%s)", sub.conn.RemoteAddr(), why)
 }
 
-// removeLocked deletes sub from the registry and settles its counters:
-// the variant census and the live-subscriber gauge update here, exactly
-// once, no matter which path (evict, drop, shutdown) removes the sub.
-// Callers hold sh.mu.
+// removeLocked deletes sub from the registry and settles the live count
+// and gauge. Callers hold sh.mu and have just found sub in sh.subs, so
+// each subscriber is removed — and uncounted — exactly once, whichever
+// path (evict, drop, shutdown, dead-peer sweep) gets there first.
 func (sh *shard) removeLocked(sub *subscriber) {
 	delete(sh.subs, sub)
 	s := sh.srv
-	switch sub.countState.Swap(subGone) {
-	case subV1:
-		s.cntV1.Add(-1)
-	case subV2:
-		s.cntV2.Add(-1)
-	case subSeq:
-		s.cntSeq.Add(-1)
-	}
 	n := s.subCount.Add(-1)
 	s.met().subscribers.Set(float64(n))
 }

@@ -42,8 +42,8 @@ func WithBlockingDelivery() SubscribeOption {
 // WithSessionResume carries the stream sequence across reconnects: each
 // re-dial sends MsgResume with the last sequence seen, so the gateway
 // replays the disconnection gap from its ring (when still within the
-// window) instead of the session silently skipping it. Implies the v2
-// protocol; harmless against gateways that predate resume.
+// window) instead of the session silently skipping it. Implies
+// WithBatching; harmless against gateways that predate resume.
 func WithSessionResume() SubscribeOption {
 	return func(c *subscribeConfig) { c.resume = true }
 }

@@ -183,7 +183,17 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 	}
 
 	t.ChipRate = meas[0].chipRate // identical across cells: the default PHY numerology
+	if err := t.finish(meas); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
+// finish turns the raw per-cell measurements into the final table:
+// bias-corrected fallback SNRs, range-monotone delivery, validation, and
+// the logistic fit. Validation precedes the fit, whose grid search over
+// the SNR span never ends when a cell's SNR is not finite.
+func (t *Table) finish(meas []cellMeasurement) error {
 	// Cells too sparse to estimate an SNR distribution (fewer than three
 	// delivered frames) fall back to the analytic budget for the SNR
 	// location — but the waveform estimator sits a few dB below the
@@ -212,26 +222,26 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 	// range within every (env, intensity, orientation) series. Monte-Carlo
 	// wiggle would otherwise let a far cell beat a near one, which the
 	// model (and the satellite monotonicity test) forbids.
-	for ei := range cfg.Envs {
-		for ii := range cfg.Intensities {
-			for oi := range cfg.OrientsRad {
-				series := make([]float64, len(cfg.RangesM))
-				for ri := range cfg.RangesM {
+	for ei := range t.Envs {
+		for ii := range t.Intensities {
+			for oi := range t.OrientsRad {
+				series := make([]float64, len(t.RangesM))
+				for ri := range t.RangesM {
 					series[ri] = t.Cells[t.cellIndex(ei, ii, oi, ri)].PDeliver
 				}
 				isotonicNonIncreasing(series)
-				for ri := range cfg.RangesM {
+				for ri := range t.RangesM {
 					t.Cells[t.cellIndex(ei, ii, oi, ri)].PDeliver = clamp01(series[ri])
 				}
 			}
 		}
 	}
 
-	t.LogisticK, t.LogisticSNR50 = fitLogistic(t.Cells)
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	return t, nil
+	t.LogisticK, t.LogisticSNR50 = fitLogistic(t.Cells)
+	return nil
 }
 
 // cellMeasurement is one cell's raw campaign outcome: the provisional

@@ -1,8 +1,10 @@
 package linksim
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallGrid is a CI-sized calibration campaign: four cells, seconds of
@@ -137,5 +139,48 @@ func TestEnvByName(t *testing.T) {
 	}
 	if _, err := EnvByName("lagoon"); err == nil || !strings.Contains(err.Error(), "river") {
 		t.Fatalf("unknown env error should list presets, got %v", err)
+	}
+}
+
+// TestCalibrateRejectsNonFiniteSNR: a cell whose analytic fallback SNR is
+// -Inf (no deliveries and a budget that reports no signal) must end the
+// calibration with an error naming the cell, not hang the logistic fit's
+// grid search.
+func TestCalibrateRejectsNonFiniteSNR(t *testing.T) {
+	cfg := smallGrid()
+	tab := &Table{
+		FormatVersion: TableFormatVersion,
+		Envs:          cfg.Envs,
+		RangesM:       cfg.RangesM,
+		OrientsRad:    cfg.OrientsRad,
+		Intensities:   cfg.Intensities,
+		ChipRate:      1000,
+		Cells:         make([]Cell, 4),
+	}
+	meas := make([]cellMeasurement, 4)
+	for i := range meas {
+		meas[i] = cellMeasurement{
+			cell:          Cell{PDeliver: 0.9, SNRMeanDB: 20 - float64(i), SNRStdDB: 1, DelayMs: 50},
+			analyticSNRdB: 24 - float64(i),
+			delivered:     30,
+		}
+	}
+	// Cell 3 (intensity 1, 300 m): nothing delivered, and the fallback's
+	// analytic SNR is -Inf.
+	meas[3].delivered = 0
+	meas[3].analyticSNRdB = math.Inf(-1)
+	meas[3].cell = Cell{SNRMeanDB: math.Inf(-1), SNRStdDB: 2, CorrMean: 8, DelayMs: 400}
+	for i := range meas {
+		tab.Cells[i] = meas[i].cell
+	}
+	done := make(chan error, 1)
+	go func() { done <- tab.finish(meas) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "cell 3 (river, intensity 1") {
+			t.Fatalf("finish: %v, want an error naming cell 3", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("finish did not return within 10 s")
 	}
 }

@@ -67,7 +67,7 @@ type Table struct {
 }
 
 // Validate checks structural invariants: version, non-empty ascending
-// axes, cell count, and probability clamping.
+// axes, cell count, probability clamping, and finite SNR statistics.
 func (t *Table) Validate() error {
 	if t.FormatVersion != TableFormatVersion {
 		return fmt.Errorf("linksim: table format version %d, this build reads %d",
@@ -104,6 +104,10 @@ func (t *Table) Validate() error {
 		if c.SNRStdDB < 0 || c.CorrMean < 0 || c.DelayMs < 0 {
 			return fmt.Errorf("linksim: cell %d has a negative statistic", i)
 		}
+		if math.IsNaN(c.SNRMeanDB) || math.IsInf(c.SNRMeanDB, 0) || math.IsNaN(c.SNRStdDB) || math.IsInf(c.SNRStdDB, 0) {
+			return fmt.Errorf("linksim: %s has a non-finite SNR statistic (mean %g dB, std %g dB)",
+				t.cellName(i), c.SNRMeanDB, c.SNRStdDB)
+		}
 	}
 	if t.ChipRate <= 0 {
 		return fmt.Errorf("linksim: chip rate %g must be positive", t.ChipRate)
@@ -124,6 +128,15 @@ func (t *Table) EnvIndex(name string) (int, error) {
 // cellIndex flattens grid coordinates.
 func (t *Table) cellIndex(env, intensity, orient, rng int) int {
 	return ((env*len(t.Intensities)+intensity)*len(t.OrientsRad)+orient)*len(t.RangesM) + rng
+}
+
+// cellName names flattened cell i by its index and grid coordinates.
+func (t *Table) cellName(i int) string {
+	ri, rest := i%len(t.RangesM), i/len(t.RangesM)
+	oi, rest := rest%len(t.OrientsRad), rest/len(t.OrientsRad)
+	ii, ei := rest%len(t.Intensities), rest/len(t.Intensities)
+	return fmt.Sprintf("cell %d (%s, intensity %g, orientation %.2f rad, %g m)",
+		i, t.Envs[ei], t.Intensities[ii], t.OrientsRad[oi], t.RangesM[ri])
 }
 
 // CellAt returns the raw cell at exact grid coordinates.

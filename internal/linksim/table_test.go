@@ -122,6 +122,8 @@ func TestTableValidateRejections(t *testing.T) {
 		{"cell count", func(tb *Table) { tb.Cells = tb.Cells[:len(tb.Cells)-1] }, "cells"},
 		{"probability clamp", func(tb *Table) { tb.Cells[0].PDeliver = 1.5 }, "outside [0, 1]"},
 		{"negative stat", func(tb *Table) { tb.Cells[0].SNRStdDB = -1 }, "negative"},
+		{"non-finite SNR mean", func(tb *Table) { tb.Cells[1].SNRMeanDB = math.Inf(-1) }, "cell 1 ("},
+		{"non-finite SNR std", func(tb *Table) { tb.Cells[0].SNRStdDB = math.NaN() }, "non-finite"},
 		{"chip rate", func(tb *Table) { tb.ChipRate = 0 }, "chip rate"},
 	}
 	for _, tc := range cases {
